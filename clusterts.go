@@ -94,8 +94,8 @@ type (
 	Decider = strategy.Decider
 	// Partition is a (possibly evolving) clustering of processes.
 	Partition = cluster.Partition
-	// Monitor is the central monitoring entity: partial-order store plus
-	// timestamper plus query interface.
+	// Monitor is the central monitoring entity: delivery-order validation
+	// plus timestamper plus query interface.
 	Monitor = monitor.Monitor
 	// Collector feeds a Monitor from concurrent producers, reordering
 	// arrivals into a valid delivery order.

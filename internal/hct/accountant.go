@@ -3,7 +3,6 @@ package hct
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/model"
 )
 
@@ -14,48 +13,22 @@ import (
 // of the communication topology and the merge decisions — so the full
 // Fidge/Mattern computation can be skipped entirely. The experiment sweeps
 // (49 values of maxCS × 4 strategies × the whole corpus) run through this
-// path; Timestamper and Accountant are property-tested to agree.
+// path; Timestamper and Accountant are property-tested to agree, and both
+// decide through the same cluster-receive rule (clustering.receive).
 //
 // Accountant is not safe for concurrent use.
 type Accountant struct {
-	cfg  Config
-	part *cluster.Partition
-
-	events    int
-	crEvents  int
-	mergedCRs int
+	clustering
 }
 
 // NewAccountant returns an accountant over numProcs processes.
 func NewAccountant(numProcs int, cfg Config) (*Accountant, error) {
-	if numProcs <= 0 {
-		return nil, fmt.Errorf("%w: numProcs=%d", ErrBadConfig, numProcs)
+	c, err := newClustering(numProcs, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.MaxClusterSize < 1 {
-		return nil, fmt.Errorf("%w: MaxClusterSize=%d", ErrBadConfig, cfg.MaxClusterSize)
-	}
-	part := cfg.Partition
-	if part == nil {
-		part = cluster.NewSingletons(numProcs)
-	}
-	if part.NumProcs() != numProcs {
-		return nil, fmt.Errorf("%w: partition covers %d processes, want %d", ErrBadConfig, part.NumProcs(), numProcs)
-	}
-	if cfg.Decider == nil {
-		cfg.Decider = &neverDecider{}
-	}
-	return &Accountant{cfg: cfg, part: part}, nil
+	return &Accountant{clustering: c}, nil
 }
-
-// neverDecider avoids importing strategy in the accountant's default path;
-// it matches strategy.Never.
-type neverDecider struct{}
-
-func (*neverDecider) Name() string { return "static" }
-func (*neverDecider) OnClusterReceive(_, _ cluster.ID, _, _ int, _ bool) bool {
-	return false
-}
-func (*neverDecider) OnMerge(_, _, _ cluster.ID) {}
 
 // Observe processes one event, classifying it as a noted cluster receive, a
 // merged cluster receive, or an ordinary event.
@@ -64,31 +37,13 @@ func (a *Accountant) Observe(e model.Event) {
 		a.events++
 		return
 	}
-	a.ObservePair(int32(e.ID.Process), int32(e.Partner.Process))
+	a.receive(int32(e.ID.Process), int32(e.Partner.Process))
 }
 
 // ObservePair processes one receive-kind event in compact form: receiver
-// process p, sending partner process q. Live clusters are unique per
-// Partition, so the intra-cluster test is a pointer comparison — no
-// member-set lookup and no branch on event kind.
+// process p, sending partner process q.
 func (a *Accountant) ObservePair(p, q int32) {
-	a.events++
-	own := a.part.ClusterOf(p)
-	other := a.part.ClusterOf(q)
-	if own == other {
-		return
-	}
-	sizeOK := own.Size()+other.Size() <= a.cfg.MaxClusterSize
-	if a.cfg.Decider.OnClusterReceive(own.ID, other.ID, own.Size(), other.Size(), sizeOK) {
-		if !sizeOK {
-			panic(fmt.Sprintf("hct: decider %s merged past the size bound", a.cfg.Decider.Name()))
-		}
-		merged := a.part.Merge(own.ID, other.ID)
-		a.cfg.Decider.OnMerge(own.ID, other.ID, merged.ID)
-		a.mergedCRs++
-		return
-	}
-	a.crEvents++
+	a.receive(p, q)
 }
 
 // ObserveAll replays the whole trace.
@@ -110,64 +65,12 @@ func (a *Accountant) ObserveStream(stream []model.ReceivePair, totalEvents int) 
 	}
 	a.events += totalEvents - len(stream)
 	for _, rp := range stream {
-		a.ObservePair(rp.P, rp.Q)
+		a.receive(rp.P, rp.Q)
 	}
-}
-
-// Result summarizes a run's space accounting.
-type Result struct {
-	Events          int
-	ClusterReceives int // noted (full-vector) cluster receives
-	MergedReceives  int // cluster receives that triggered a merge
-	Merges          int
-	LiveClusters    int
-	MaxLiveCluster  int
-	MaxClusterSize  int // the configured bound
 }
 
 // Result returns the accumulated statistics.
-func (a *Accountant) Result() Result {
-	return Result{
-		Events:          a.events,
-		ClusterReceives: a.crEvents,
-		MergedReceives:  a.mergedCRs,
-		Merges:          a.part.Merges(),
-		LiveClusters:    a.part.NumLive(),
-		MaxLiveCluster:  a.part.MaxLiveSize(),
-		MaxClusterSize:  a.cfg.MaxClusterSize,
-	}
-}
-
-// AverageRatio returns the ratio of the average cluster-timestamp size to
-// the Fidge/Mattern timestamp size under the fixed-size-vector encoding of
-// Section 4: Fidge/Mattern timestamps (and noted cluster receives, which
-// retain them) occupy fixedVector elements; all other events occupy a vector
-// of MaxClusterSize elements. A Fidge/Mattern-only tool therefore scores
-// exactly 1.0.
-func (r Result) AverageRatio(fixedVector int) float64 {
-	if r.Events == 0 {
-		return 0
-	}
-	cr := int64(r.ClusterReceives)
-	rest := int64(r.Events) - cr
-	total := cr*int64(fixedVector) + rest*int64(r.MaxClusterSize)
-	return float64(total) / (float64(r.Events) * float64(fixedVector))
-}
-
-// AverageRatioWithVector is AverageRatio with an explicit cluster-vector
-// size. It supports the k-means/k-medoid ablations, whose clusters are not
-// size-bounded: an implementation would have to allocate cluster vectors of
-// the *largest* cluster produced, so their accounting must use that size
-// rather than the nominal maxCS.
-func (r Result) AverageRatioWithVector(fixedVector, clusterVector int) float64 {
-	if r.Events == 0 {
-		return 0
-	}
-	cr := int64(r.ClusterReceives)
-	rest := int64(r.Events) - cr
-	total := cr*int64(fixedVector) + rest*int64(clusterVector)
-	return float64(total) / (float64(r.Events) * float64(fixedVector))
-}
+func (a *Accountant) Result() Result { return a.result() }
 
 // ResultOf runs an accountant over the trace with the given configuration
 // and returns the summary. The Config's Partition and Decider must be fresh

@@ -31,12 +31,12 @@ type BatchTimestamper struct {
 	fmts     *fm.Timestamper
 	graph    *commgraph.Graph
 
-	part     *cluster.Partition // nil until the batch closes
-	stamps   map[model.EventID]*Timestamp
-	events   int
-	prefix   int
-	crEvents int
-	merged   int
+	// cl decides cluster receives once the batch closes; its partition is
+	// a placeholder until install replaces it with the static clustering.
+	cl        clustering
+	clustered bool
+	stamps    map[model.EventID]*Timestamp
+	prefix    int
 }
 
 // BatchConfig parameterizes a BatchTimestamper.
@@ -53,36 +53,37 @@ type BatchConfig struct {
 
 // NewBatchTimestamper returns a batch timestamper over numProcs processes.
 func NewBatchTimestamper(numProcs int, cfg BatchConfig) (*BatchTimestamper, error) {
-	if numProcs <= 0 {
-		return nil, fmt.Errorf("%w: numProcs=%d", ErrBadConfig, numProcs)
-	}
-	if cfg.MaxClusterSize < 1 {
-		return nil, fmt.Errorf("%w: MaxClusterSize=%d", ErrBadConfig, cfg.MaxClusterSize)
+	cl, err := newClustering(numProcs, Config{MaxClusterSize: cfg.MaxClusterSize, Decider: cfg.Decider})
+	if err != nil {
+		return nil, err
 	}
 	if cfg.BatchSize < 1 {
 		return nil, fmt.Errorf("%w: BatchSize=%d", ErrBadConfig, cfg.BatchSize)
-	}
-	if cfg.Decider == nil {
-		cfg.Decider = strategy.NewNever()
 	}
 	return &BatchTimestamper{
 		numProcs: numProcs,
 		cfg:      cfg,
 		fmts:     fm.NewTimestamper(numProcs),
 		graph:    commgraph.New(numProcs),
+		cl:       cl,
 		stamps:   make(map[model.EventID]*Timestamp),
 	}, nil
 }
 
 // Clustered reports whether the batch has closed and the static clustering
 // is installed.
-func (bt *BatchTimestamper) Clustered() bool { return bt.part != nil }
+func (bt *BatchTimestamper) Clustered() bool { return bt.clustered }
 
 // Partition returns the installed partition, or nil during the batch.
-func (bt *BatchTimestamper) Partition() *cluster.Partition { return bt.part }
+func (bt *BatchTimestamper) Partition() *cluster.Partition {
+	if !bt.clustered {
+		return nil
+	}
+	return bt.cl.part
+}
 
 // Events returns the number of events stamped.
-func (bt *BatchTimestamper) Events() int { return bt.events }
+func (bt *BatchTimestamper) Events() int { return bt.prefix + bt.cl.events }
 
 // PrefixEvents returns how many events were stamped with full vectors
 // before the clustering ran.
@@ -91,7 +92,7 @@ func (bt *BatchTimestamper) PrefixEvents() int { return bt.prefix }
 // ClusterReceives returns the number of noted cluster receives after the
 // batch closed (prefix events are not counted: they keep full vectors by
 // design, not because clustering failed).
-func (bt *BatchTimestamper) ClusterReceives() int { return bt.crEvents }
+func (bt *BatchTimestamper) ClusterReceives() int { return bt.cl.crEvents }
 
 // Observe ingests the next event in delivery order.
 func (bt *BatchTimestamper) Observe(e model.Event) ([]*Timestamp, error) {
@@ -101,12 +102,11 @@ func (bt *BatchTimestamper) Observe(e model.Event) ([]*Timestamp, error) {
 	}
 	out := make([]*Timestamp, 0, len(stamped))
 	for _, st := range stamped {
-		bt.events++
 		if e2 := st.Event; e2.Kind.IsReceive() && e2.HasPartner() {
 			bt.graph.Add(int32(e2.ID.Process), int32(e2.Partner.Process), 1)
 		}
 		t := &Timestamp{ID: st.Event.ID, Kind: st.Event.Kind, Partner: st.Event.Partner}
-		if bt.part == nil {
+		if !bt.clustered {
 			// Batch phase: full Fidge/Mattern timestamp.
 			t.Full = st.Clock
 			bt.prefix++
@@ -118,29 +118,11 @@ func (bt *BatchTimestamper) Observe(e model.Event) ([]*Timestamp, error) {
 			continue
 		}
 		// Clustered phase: standard cluster-receive handling.
-		p := int32(st.Event.ID.Process)
-		own := bt.part.ClusterOf(p)
-		isCR := st.Event.Kind.IsReceive() && !own.Contains(int32(st.Event.Partner.Process))
-		if isCR {
-			other := bt.part.ClusterOf(int32(st.Event.Partner.Process))
-			sizeOK := own.Size()+other.Size() <= bt.cfg.MaxClusterSize
-			if bt.cfg.Decider.OnClusterReceive(own.ID, other.ID, own.Size(), other.Size(), sizeOK) {
-				if !sizeOK {
-					panic(fmt.Sprintf("hct: decider %s merged past the size bound", bt.cfg.Decider.Name()))
-				}
-				merged := bt.part.Merge(own.ID, other.ID)
-				bt.cfg.Decider.OnMerge(own.ID, other.ID, merged.ID)
-				own = merged
-				bt.merged++
-				isCR = false
-			}
-		}
-		if isCR {
-			t.Full = st.Clock
-			bt.crEvents++
-		} else {
+		if own := bt.cl.classify(st.Event); own != nil {
 			t.Cluster = own
 			t.Proj = st.Clock.Project(own.Members)
+		} else {
+			t.Full = st.Clock
 		}
 		bt.stamps[t.ID] = t
 		out = append(out, t)
@@ -157,7 +139,8 @@ func (bt *BatchTimestamper) install() {
 		// StaticGreedy returns a complete partition by construction.
 		panic(fmt.Sprintf("hct: batch clustering produced invalid partition: %v", err))
 	}
-	bt.part = part
+	bt.cl.part = part
+	bt.clustered = true
 }
 
 // ObserveAll stamps an entire trace.

@@ -27,7 +27,7 @@ type MigratingTimestamper struct {
 	numProcs int
 	cfg      MigrateConfig
 	fmts     *fm.Timestamper
-	part     *cluster.Partition
+	cl       clustering
 
 	stamps map[model.EventID]*Timestamp
 	// crTowards counts, per process, noted cluster receives whose sender
@@ -35,9 +35,6 @@ type MigratingTimestamper struct {
 	// cleared on migration.
 	crTowards []map[cluster.ID]int
 
-	events     int
-	crEvents   int
-	merged     int
 	migrations int
 }
 
@@ -55,43 +52,51 @@ type MigrateConfig struct {
 
 // NewMigratingTimestamper returns a migrating timestamper.
 func NewMigratingTimestamper(numProcs int, cfg MigrateConfig) (*MigratingTimestamper, error) {
-	if numProcs <= 0 {
-		return nil, fmt.Errorf("%w: numProcs=%d", ErrBadConfig, numProcs)
+	cl, err := newClustering(numProcs, Config{MaxClusterSize: cfg.MaxClusterSize, Decider: cfg.Decider})
+	if err != nil {
+		return nil, err
 	}
-	if cfg.MaxClusterSize < 1 {
-		return nil, fmt.Errorf("%w: MaxClusterSize=%d", ErrBadConfig, cfg.MaxClusterSize)
-	}
+	mt := &MigratingTimestamper{numProcs: numProcs, cfg: cfg}
+	// The shared cluster-receive rule reports merges to the decider; the
+	// wrapper also re-keys the migration evidence on every merge.
+	cl.cfg.Decider = rekeyingDecider{cl.cfg.Decider, mt}
 	if cfg.MigrateAfter < 1 {
 		return nil, fmt.Errorf("%w: MigrateAfter=%d", ErrBadConfig, cfg.MigrateAfter)
-	}
-	if cfg.Decider == nil {
-		cfg.Decider = strategy.NewNever()
 	}
 	crTowards := make([]map[cluster.ID]int, numProcs)
 	for i := range crTowards {
 		crTowards[i] = make(map[cluster.ID]int)
 	}
-	return &MigratingTimestamper{
-		numProcs:  numProcs,
-		cfg:       cfg,
-		fmts:      fm.NewTimestamper(numProcs),
-		part:      cluster.NewSingletons(numProcs),
-		stamps:    make(map[model.EventID]*Timestamp),
-		crTowards: crTowards,
-	}, nil
+	mt.fmts = fm.NewTimestamper(numProcs)
+	mt.cl = cl
+	mt.stamps = make(map[model.EventID]*Timestamp)
+	mt.crTowards = crTowards
+	return mt, nil
+}
+
+// rekeyingDecider forwards to the configured strategy and, on every merge,
+// folds the migration evidence counted toward the two retired clusters.
+type rekeyingDecider struct {
+	strategy.Decider
+	mt *MigratingTimestamper
+}
+
+func (d rekeyingDecider) OnMerge(a, b, c cluster.ID) {
+	d.Decider.OnMerge(a, b, c)
+	d.mt.rekeyCounts(a, b, c)
 }
 
 // Events returns the number of events stamped.
-func (mt *MigratingTimestamper) Events() int { return mt.events }
+func (mt *MigratingTimestamper) Events() int { return mt.cl.events }
 
 // ClusterReceives returns the number of noted cluster receives.
-func (mt *MigratingTimestamper) ClusterReceives() int { return mt.crEvents }
+func (mt *MigratingTimestamper) ClusterReceives() int { return mt.cl.crEvents }
 
 // Migrations returns the number of process migrations performed.
 func (mt *MigratingTimestamper) Migrations() int { return mt.migrations }
 
 // Partition exposes the live partition (read-only use).
-func (mt *MigratingTimestamper) Partition() *cluster.Partition { return mt.part }
+func (mt *MigratingTimestamper) Partition() *cluster.Partition { return mt.cl.part }
 
 // Observe ingests the next event in delivery order.
 func (mt *MigratingTimestamper) Observe(e model.Event) ([]*Timestamp, error) {
@@ -107,36 +112,14 @@ func (mt *MigratingTimestamper) Observe(e model.Event) ([]*Timestamp, error) {
 }
 
 func (mt *MigratingTimestamper) assign(st fm.Stamped) *Timestamp {
-	mt.events++
 	ev := st.Event
-	p := int32(ev.ID.Process)
 	t := &Timestamp{ID: ev.ID, Kind: ev.Kind, Partner: ev.Partner}
-
-	own := mt.part.ClusterOf(p)
-	isCR := ev.Kind.IsReceive() && !own.Contains(int32(ev.Partner.Process))
-	if isCR {
-		other := mt.part.ClusterOf(int32(ev.Partner.Process))
-		sizeOK := own.Size()+other.Size() <= mt.cfg.MaxClusterSize
-		if mt.cfg.Decider.OnClusterReceive(own.ID, other.ID, own.Size(), other.Size(), sizeOK) {
-			if !sizeOK {
-				panic(fmt.Sprintf("hct: decider %s merged past the size bound", mt.cfg.Decider.Name()))
-			}
-			merged := mt.part.Merge(own.ID, other.ID)
-			mt.cfg.Decider.OnMerge(own.ID, other.ID, merged.ID)
-			mt.rekeyCounts(own.ID, other.ID, merged.ID)
-			own = merged
-			mt.merged++
-			isCR = false
-		}
-	}
-
-	if isCR {
-		t.Full = st.Clock
-		mt.crEvents++
-		mt.noteCRTowards(p, int32(ev.Partner.Process))
-	} else {
+	if own := mt.cl.classify(ev); own != nil {
 		t.Cluster = own
 		t.Proj = st.Clock.Project(own.Members)
+	} else {
+		t.Full = st.Clock
+		mt.noteCRTowards(int32(ev.ID.Process), int32(ev.Partner.Process))
 	}
 	mt.stamps[t.ID] = t
 	return t
@@ -145,7 +128,7 @@ func (mt *MigratingTimestamper) assign(st fm.Stamped) *Timestamp {
 // noteCRTowards records a cluster receive on process p whose sender lives in
 // the sender's live cluster, migrating p if the evidence threshold is met.
 func (mt *MigratingTimestamper) noteCRTowards(p, sender int32) {
-	target := mt.part.ClusterOf(sender)
+	target := mt.cl.part.ClusterOf(sender)
 	counts := mt.crTowards[p]
 	counts[target.ID]++
 	if counts[target.ID] < mt.cfg.MigrateAfter {
@@ -154,7 +137,7 @@ func (mt *MigratingTimestamper) noteCRTowards(p, sender int32) {
 	if target.Size()+1 > mt.cfg.MaxClusterSize {
 		return // no room; keep counting in case the target shrinks
 	}
-	mt.part.Migrate(p, target.ID)
+	mt.cl.part.Migrate(p, target.ID)
 	mt.migrations++
 	// The process starts fresh in its new home; stale counts toward the
 	// retired cluster IDs would never match live clusters anyway.

@@ -1,7 +1,8 @@
 package hct
 
-// This file is the sharded ingest pipeline: the concurrent counterpart of
-// the single-writer Timestamper in engine.go, producing bit-identical
+// This file is the ingest pipeline: the one stamping engine of the package.
+// With one lane and the inline planner it is the single-writer Timestamper
+// (engine.go); with N lanes it stamps in parallel, producing bit-identical
 // timestamps over the same lock-free read plane.
 //
 // # Why delivery can be sharded at all
@@ -16,8 +17,8 @@ package hct
 // delivery into
 //
 //   - a sequential planner (plan stage, under planMu) that validates each
-//     event, replicates the store/fm error contract of the single-writer
-//     path, and makes every cluster decision in delivery order, pinning the
+//     event against the delivery-order error contract, and makes every
+//     cluster decision in delivery order, pinning the
 //     immutable *cluster.Info epoch each event must be stamped with; and
 //   - N parallel lanes (stamp stage), each owning a disjoint set of
 //     processes (and so a disjoint set of columns), that compute the FM
@@ -41,28 +42,25 @@ package hct
 // the error contract is unchanged in either mode.
 //
 // Planning is split into two passes per batch (planBatch). Pass 1
-// (validateBatch) replays the store/fm validation state machine —
+// (validateBatch) runs the delivery-order validation state machine —
 // next/pendSend/syncHold — which reads no cluster state at all, and collects
 // the finalized events. Pass 2 (clusterPlanBatch) pins each event's cluster
-// epoch. Merge decisions are inherently sequential: each one can repartition
-// the processes the next decision consults. But a batch that provably cannot
-// merge — it contains no receive or sync events, or the decider is the
-// never-merging static strategy — cannot change the partition while it
-// plans, so pass 2 degenerates to pure epoch lookups against a frozen
-// partition.
+// epoch through the package's one cluster-receive rule (clustering.go).
+// Merge decisions are inherently sequential: each one can repartition the
+// processes the next decision consults.
 //
 // # Cross-shard rendezvous
 //
 // A receive needs the matching send's finalized clock. Same-lane sends park
-// it in a lane-local map; cross-lane sends publish it to a striped
-// rendezvous table keyed by send ID, where the receiver's lane blocks until
-// it appears. Delivery order guarantees the send was dispatched before the
-// receive, so the wait always terminates; and because a lane publishes an
-// event's column cell and cluster-receive note BEFORE forwarding its clock
-// (put-after-publish), a clock obtained from the rendezvous proves, by
-// induction over lanes, that every event it counts has published cell and
-// note — exactly the visibility invariant the routed precedence path needs
-// (store.go).
+// it in a lane-local slot the planner assigned (sendSlots); cross-lane sends
+// publish it to a striped rendezvous table keyed by send ID, where the
+// receiver's lane blocks until it appears. Delivery order guarantees the
+// send was dispatched before the receive, so the wait always terminates; and
+// because a lane publishes an event's column cell and cluster-receive note
+// BEFORE forwarding its clock (put-after-publish), a clock obtained from the
+// rendezvous proves, by induction over lanes, that every event it counts has
+// published cell and note — exactly the visibility invariant the routed
+// precedence path needs (store.go).
 //
 // Rendezvous traffic is batched per chunk. Outbound: a lane buffers its
 // cross-lane send clocks per stripe and flushes each stripe's batch under
@@ -127,8 +125,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fm"
 	"repro/internal/model"
-	"repro/internal/poset"
-	"repro/internal/strategy"
 	"repro/internal/vclock"
 )
 
@@ -175,12 +171,43 @@ type PipelineOptions struct {
 
 // item is one planned unit of lane work: the event plus the cluster epoch
 // the planner pinned for it. A nil cluster marks a noted cluster receive
-// (the lane retains the full vector and publishes a note). bt is the traced
-// run's span sink, nil for the (overwhelmingly common) unsampled runs.
+// (the lane retains the full vector and publishes a note). For a send whose
+// receive runs on the same lane, and for that receive, slot names the lane's
+// send-clock slot the two meet at (-1 otherwise; see sendSlots). bt is the
+// traced run's span sink, nil for the (overwhelmingly common) unsampled runs.
 type item struct {
-	ev model.Event
-	cl *cluster.Info
-	bt BatchTracer
+	ev   model.Event
+	slot int32
+	cl   *cluster.Info
+	bt   BatchTracer
+}
+
+// pendingSend is the planner's record of a delivered send whose receive has
+// not been delivered yet.
+type pendingSend struct {
+	recv model.EventID // the receive it targets
+	slot int32         // same-lane send-clock slot, or -1
+}
+
+// sendSlots hands out one lane's send-clock slots. A send whose receive runs
+// on the same lane parks its clock in the lane's slot table instead of a map
+// keyed by event ID; the planner allocates the slot when it plans the send
+// and frees it when it plans the receive. Freeing before the lane has read
+// the slot is safe: a lane processes its items in planner order, so any
+// later send that reuses the slot is stamped after the receive consumed it.
+type sendSlots struct {
+	free []int32
+	next int32
+}
+
+func (ss *sendSlots) alloc() int32 {
+	if n := len(ss.free); n > 0 {
+		s := ss.free[n-1]
+		ss.free = ss.free[:n-1]
+		return s
+	}
+	ss.next++
+	return ss.next - 1
 }
 
 // Pipeline is the sharded ingest engine. It embeds the same lock-free read
@@ -192,27 +219,21 @@ type item struct {
 type Pipeline struct {
 	plane
 
-	cfg     Config
-	part    *cluster.Partition
 	nshards int
 	smap    []int32 // process -> shard
 
-	// planMu guards the planner state below and the partition.
-	planMu    sync.Mutex
-	next      []model.EventIndex              // per process, next expected index
-	pendSend  map[model.EventID]model.EventID // in-flight send -> its receive
-	syncHold  *model.Event                    // first half of an in-flight sync pair
-	events    int
-	crEvents  int
-	mergedCRs int
-	issued    []uint64      // items dispatched per shard
-	curBufs   [][]item      // per-shard staging buffers, capacity retained across batches
-	planBuf   []model.Event // validateBatch's finalized-event buffer, reused per batch
-	closed    bool
-
-	// neverMerge marks a decider that can never merge (the static strategy);
-	// it licenses clusterPlanBatch's read-only fast path for every batch.
-	neverMerge bool
+	// planMu guards the planner state below, including the embedded
+	// clustering (partition, decider and accounting tallies).
+	planMu sync.Mutex
+	clustering
+	next     []model.EventIndex            // per process, next expected index
+	pendSend map[model.EventID]pendingSend // in-flight sends
+	slots    []sendSlots                   // per shard, same-lane send-clock slots
+	syncHold *model.Event                  // first half of an in-flight sync pair
+	issued   []uint64                      // items dispatched per shard
+	curBufs  [][]item                      // per-shard staging buffers, capacity retained across batches
+	planBuf  []item                        // validateBatch's finalized events, reused per batch
+	closed   bool
 
 	// Tracing state for the Dispatch in progress (guarded by planMu).
 	// curBT tags staged items; stampStart/stampDur accumulate inline
@@ -255,7 +276,7 @@ type Pipeline struct {
 // stamps inline and no goroutines are started. Close releases the lanes.
 func NewPipeline(numProcs int, cfg Config, opt PipelineOptions) (*Pipeline, error) {
 	clusterAligned := cfg.Partition != nil
-	cfg, part, err := resolveConfig(numProcs, cfg)
+	cl, err := newClustering(numProcs, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -267,41 +288,40 @@ func NewPipeline(numProcs int, cfg Config, opt PipelineOptions) (*Pipeline, erro
 		nshards = numProcs
 	}
 	p := &Pipeline{
-		plane:    newPlane(numProcs),
-		cfg:      cfg,
-		part:     part,
-		nshards:  nshards,
-		next:     make([]model.EventIndex, numProcs),
-		pendSend: make(map[model.EventID]model.EventID, numProcs),
-		issued:   make([]uint64, nshards),
-		done:     make([]uint64, nshards),
-		start:    time.Now(),
+		plane:      newPlane(numProcs),
+		clustering: cl,
+		nshards:    nshards,
+		next:       make([]model.EventIndex, numProcs),
+		pendSend:   make(map[model.EventID]pendingSend, numProcs),
+		slots:      make([]sendSlots, nshards),
+		issued:     make([]uint64, nshards),
+		done:       make([]uint64, nshards),
+		start:      time.Now(),
 	}
-	_, p.neverMerge = cfg.Decider.(*strategy.Never)
 	for i := range p.next {
 		p.next[i] = 1
 	}
 	p.doneCond = sync.NewCond(&p.doneMu)
-	p.smap = buildShardMap(numProcs, nshards, part, clusterAligned)
-	p.rv.init()
+	p.smap = buildShardMap(numProcs, nshards, cl.part, clusterAligned)
 	p.lanes = make([]*lane, nshards)
 	for i := range p.lanes {
 		ln := &lane{
-			pl:         p,
-			id:         int32(i),
-			frontier:   make([]vclock.Clock, numProcs),
-			localSend:  make(map[model.EventID]vclock.Clock),
-			prefetched: make(map[model.EventID]vclock.Clock),
+			pl:       p,
+			id:       int32(i),
+			frontier: make([]vclock.Clock, numProcs),
 		}
 		ln.cond = sync.NewCond(&ln.mu)
 		p.lanes[i] = ln
 	}
 	if nshards > 1 {
+		// Cross-lane machinery: a single lane never meets another.
+		p.rv.init()
 		p.curBufs = make([][]item, nshards)
 		for i := range p.curBufs {
 			p.curBufs[i] = make([]item, 0, 256)
 		}
-		for i := range p.lanes {
+		for i, ln := range p.lanes {
+			ln.prefetched = make(map[model.EventID]vclock.Clock)
 			p.wg.Add(1)
 			go p.lanes[i].run()
 		}
@@ -467,47 +487,45 @@ func (p *Pipeline) DispatchOne(e model.Event) error {
 // first error with the offending event's ID (the caller applies batch or
 // single-event wrapping). Called with planMu held.
 func (p *Pipeline) planBatch(events []model.Event) (model.EventID, error) {
-	final, hasRecv, failID, err := p.validateBatch(events)
-	p.clusterPlanBatch(final, hasRecv)
+	final, failID, err := p.validateBatch(events)
+	p.clusterPlanBatch(final)
 	return failID, err
 }
 
-// validateBatch is planning pass 1: the store/fm validation state machine
-// over next/pendSend/syncHold, replicated from the single-writer path with
-// the identical check order, error values, and partial mutations — an event
-// can consume its frontier slot yet fail the fm checks, just as
-// poset.Store.Append succeeds before Timestamper.Ingest rejects. It touches
-// no cluster state; finalized events (sync pairs adjacently, completed pairs
-// only) land in the reused planBuf for pass 2. hasRecv reports whether any
-// finalized event is a receive or sync — the only kinds that can be cluster
-// receives, and so the only ones that can merge.
-func (p *Pipeline) validateBatch(events []model.Event) (final []model.Event, hasRecv bool, failID model.EventID, err error) {
+// validateBatch is planning pass 1: the delivery-order validation state
+// machine over next/pendSend/syncHold. Checks run in two layers with a
+// partial mutation that is part of the error contract: the history layer
+// (process range, duplicate, index gap, unknown send) consumes the event's
+// frontier slot before the clock layer (sync pairing) can reject it. Only
+// an event the clock layer accepts changes the in-flight send table, so a
+// rejected send never becomes receivable. It touches no cluster state;
+// finalized events (sync pairs adjacently, completed pairs only) land in the
+// reused planBuf for pass 2, carrying their send-clock slots.
+func (p *Pipeline) validateBatch(events []model.Event) (final []item, failID model.EventID, err error) {
 	final = p.planBuf[:0]
 	for i := range events {
 		e := events[i]
 		pr := int(e.ID.Process)
 		if pr < 0 || pr >= p.numProcs {
-			failID, err = e.ID, fmt.Errorf("%w: %v", poset.ErrProcOutOfRange, e.ID)
+			failID, err = e.ID, fmt.Errorf("%w: %v", ErrProcOutOfRange, e.ID)
 			break
 		}
 		want := p.next[pr]
 		if e.ID.Index < want {
-			failID, err = e.ID, fmt.Errorf("%w: %v", poset.ErrDuplicate, e.ID)
+			failID, err = e.ID, fmt.Errorf("%w: %v", ErrDuplicate, e.ID)
 			break
 		}
 		if e.ID.Index != want {
-			failID, err = e.ID, fmt.Errorf("%w: %v, want index %d", poset.ErrBadIndex, e.ID, want)
+			failID, err = e.ID, fmt.Errorf("%w: %v, want index %d", ErrBadIndex, e.ID, want)
 			break
 		}
+		var ps pendingSend
 		if e.Kind == model.Receive {
-			if _, ok := p.pendSend[e.Partner]; !ok {
-				failID, err = e.ID, fmt.Errorf("%w: %v <- %v", poset.ErrUnknownSend, e.ID, e.Partner)
+			var ok bool
+			if ps, ok = p.pendSend[e.Partner]; !ok {
+				failID, err = e.ID, fmt.Errorf("%w: %v <- %v", ErrUnknownSend, e.ID, e.Partner)
 				break
 			}
-			delete(p.pendSend, e.Partner)
-		}
-		if e.Kind == model.Send {
-			p.pendSend[e.ID] = e.Partner
 		}
 		p.next[pr] = want + 1
 
@@ -517,11 +535,22 @@ func (p *Pipeline) validateBatch(events []model.Event) (final []model.Event, has
 			break
 		}
 		switch e.Kind {
-		case model.Unary, model.Send:
-			final = append(final, e)
+		case model.Unary:
+			final = append(final, item{ev: e, slot: -1})
+		case model.Send:
+			slot := int32(-1)
+			if sh := p.smap[e.ID.Process]; sh == p.smap[e.Partner.Process] {
+				slot = p.slots[sh].alloc()
+			}
+			p.pendSend[e.ID] = pendingSend{recv: e.Partner, slot: slot}
+			final = append(final, item{ev: e, slot: slot})
 		case model.Receive:
-			final = append(final, e)
-			hasRecv = true
+			delete(p.pendSend, e.Partner)
+			if ps.slot >= 0 {
+				ss := &p.slots[p.smap[e.ID.Process]]
+				ss.free = append(ss.free, ps.slot)
+			}
+			final = append(final, item{ev: e, slot: ps.slot})
 		case model.Sync:
 			if p.syncHold == nil {
 				held := e
@@ -534,8 +563,7 @@ func (p *Pipeline) validateBatch(events []model.Event) (final []model.Event, has
 				break
 			}
 			p.syncHold = nil
-			final = append(final, first, e)
-			hasRecv = true
+			final = append(final, item{ev: first, slot: -1}, item{ev: e, slot: -1})
 		default:
 			failID, err = e.ID, fmt.Errorf("fm: unknown event kind %v for %v", e.Kind, e.ID)
 		}
@@ -544,86 +572,42 @@ func (p *Pipeline) validateBatch(events []model.Event) (final []model.Event, has
 		}
 	}
 	p.planBuf = final // retain growth for the next batch
-	return final, hasRecv, failID, err
+	return final, failID, err
 }
 
 // clusterPlanBatch is planning pass 2: pin each finalized event's cluster
-// epoch and stage the item. Merge decisions stay sequential in delivery
-// order — each one can repartition the processes the next decision consults
-// — but a batch that provably cannot merge (no receive/sync events, or a
-// never-merging decider) reads a frozen partition, so its dispositions
-// reduce to pure epoch lookups with no decider round-trips.
-func (p *Pipeline) clusterPlanBatch(final []model.Event, hasRecv bool) {
-	if !hasRecv || p.neverMerge {
-		for i := range final {
-			e := final[i]
-			p.events++
-			cl := p.part.ClusterOf(int32(e.ID.Process))
-			if e.Kind.IsReceive() && !cl.Contains(int32(e.Partner.Process)) {
-				p.crEvents++
-				cl = nil
-			}
-			p.stageItem(e, cl)
-		}
-		return
-	}
+// epoch (nil for a noted cluster receive) in delivery order and stage the
+// item.
+func (p *Pipeline) clusterPlanBatch(final []item) {
 	for i := range final {
-		p.stageItem(final[i], p.clusterPlan(final[i]))
+		it := final[i]
+		it.cl = p.classify(it.ev)
+		it.bt = p.curBT
+		p.stageItem(&it)
 	}
 }
 
 // stageItem hands one planned item to its lane (inline with one shard).
-func (p *Pipeline) stageItem(e model.Event, cl *cluster.Info) {
-	it := item{ev: e, cl: cl, bt: p.curBT}
+func (p *Pipeline) stageItem(it *item) {
 	if p.nshards == 1 {
 		if p.curBT != nil {
 			// Inline stamping: accumulate into one stamp span (emitted by
 			// the dispatching path) instead of one span per event.
 			t0 := time.Now()
-			p.lanes[0].process(&it)
+			p.lanes[0].process(it)
 			if p.stampDur == 0 {
 				p.stampStart = t0
 			}
 			p.stampDur += time.Since(t0)
 		} else {
-			p.lanes[0].process(&it)
+			p.lanes[0].process(it)
 		}
 		p.issued[0]++
 		return
 	}
-	s := p.smap[e.ID.Process]
-	p.curBufs[s] = append(p.curBufs[s], it)
+	s := p.smap[it.ev.ID.Process]
+	p.curBufs[s] = append(p.curBufs[s], *it)
 	p.issued[s]++
-}
-
-// clusterPlan makes the delivery-order-dependent cluster decision for one
-// finalized event: the same code path as Timestamper.assign up to the
-// stamping itself. It returns the cluster epoch to stamp with, or nil for a
-// noted cluster receive.
-func (p *Pipeline) clusterPlan(e model.Event) *cluster.Info {
-	p.events++
-	pr := int32(e.ID.Process)
-	own := p.part.ClusterOf(pr)
-	isCR := e.Kind.IsReceive() && !own.Contains(int32(e.Partner.Process))
-	if isCR {
-		other := p.part.ClusterOf(int32(e.Partner.Process))
-		sizeOK := own.Size()+other.Size() <= p.cfg.MaxClusterSize
-		if p.cfg.Decider.OnClusterReceive(own.ID, other.ID, own.Size(), other.Size(), sizeOK) {
-			if !sizeOK {
-				panic(fmt.Sprintf("hct: decider %s merged past the size bound", p.cfg.Decider.Name()))
-			}
-			merged := p.part.Merge(own.ID, other.ID)
-			p.cfg.Decider.OnMerge(own.ID, other.ID, merged.ID)
-			own = merged
-			p.mergedCRs++
-			isCR = false
-		}
-	}
-	if isCR {
-		p.crEvents++
-		return nil
-	}
-	return own
 }
 
 // flushLocked appends the staged items to their lanes, preserving planner
@@ -725,9 +709,17 @@ func (p *Pipeline) CrossShardWaits() int64 {
 	return total
 }
 
-// Events returns the number of events finalized by the planner. Like the
-// other accounting methods it reflects dispatched work, which may be ahead
-// of what is published; call Barrier first for an exact snapshot.
+// Result returns the accounting snapshot (see Result), read under the plan
+// mutex so its fields are mutually consistent. Like every accounting method
+// it reflects planned work, which may be ahead of what is published; call
+// Barrier first for an exact snapshot.
+func (p *Pipeline) Result() Result {
+	p.planMu.Lock()
+	defer p.planMu.Unlock()
+	return p.result()
+}
+
+// Events returns the number of events finalized by the planner.
 func (p *Pipeline) Events() int {
 	p.planMu.Lock()
 	defer p.planMu.Unlock()
@@ -756,20 +748,6 @@ func (p *Pipeline) Merges() int {
 	return p.part.Merges()
 }
 
-// NumLive returns the number of live clusters.
-func (p *Pipeline) NumLive() int {
-	p.planMu.Lock()
-	defer p.planMu.Unlock()
-	return p.part.NumLive()
-}
-
-// MaxLiveSize returns the size of the largest live cluster.
-func (p *Pipeline) MaxLiveSize() int {
-	p.planMu.Lock()
-	defer p.planMu.Unlock()
-	return p.part.MaxLiveSize()
-}
-
 // LiveSizesInto appends the live cluster sizes to buf.
 func (p *Pipeline) LiveSizesInto(buf []int) []int {
 	p.planMu.Lock()
@@ -780,16 +758,6 @@ func (p *Pipeline) LiveSizesInto(buf []int) []int {
 // MaxClusterSize returns the configured cluster-size bound.
 func (p *Pipeline) MaxClusterSize() int { return p.cfg.MaxClusterSize }
 
-// StorageInts returns the vector elements occupied by all stored timestamps
-// under the fixed-size encoding (see Timestamper.StorageInts).
-func (p *Pipeline) StorageInts(fixedVector int) int64 {
-	p.planMu.Lock()
-	defer p.planMu.Unlock()
-	cr := int64(p.crEvents)
-	rest := int64(p.events) - cr
-	return cr*int64(fixedVector) + rest*int64(p.cfg.MaxClusterSize)
-}
-
 // PendingSends returns the number of delivered sends awaiting their receive.
 func (p *Pipeline) PendingSends() int {
 	p.planMu.Lock()
@@ -797,13 +765,28 @@ func (p *Pipeline) PendingSends() int {
 	return len(p.pendSend)
 }
 
+// checkDrained reports an error if the delivered stream ended in an
+// inconsistent state: an unpaired synchronous event, or sends that were
+// never received.
+func (p *Pipeline) checkDrained() error {
+	p.planMu.Lock()
+	defer p.planMu.Unlock()
+	if p.syncHold != nil {
+		return fmt.Errorf("hct: stream ended with unpaired sync %v", p.syncHold.ID)
+	}
+	for id := range p.pendSend {
+		return fmt.Errorf("hct: stream ended with %d unreceived sends (e.g. %v)", len(p.pendSend), id)
+	}
+	return nil
+}
+
 // PendingSendTargets returns, per in-flight send, the receive it targets.
 func (p *Pipeline) PendingSendTargets() map[model.EventID]model.EventID {
 	p.planMu.Lock()
 	defer p.planMu.Unlock()
 	out := make(map[model.EventID]model.EventID, len(p.pendSend))
-	for id, partner := range p.pendSend {
-		out[id] = partner
+	for id, ps := range p.pendSend {
+		out[id] = ps.recv
 	}
 	return out
 }
@@ -834,11 +817,11 @@ type lane struct {
 	spare []item // recycled chunk buffer (double-buffer swap)
 	stop  bool
 
-	frontier  []vclock.Clock // per process; only this lane's entries are used
-	free      []vclock.Clock // retired clocks, reused for retained copies
-	ar        arena
-	localSend map[model.EventID]vclock.Clock // same-lane in-flight sends
-	held      *heldSync
+	frontier []vclock.Clock // per process; only this lane's entries are used
+	free     []vclock.Clock // retired clocks, reused for retained copies
+	ar       arena
+	slots    []vclock.Clock // same-lane in-flight send clocks, by planner slot
+	held     *heldSync
 
 	// Batched rendezvous state (see the file comment). pendPuts buffers
 	// outbound cross-lane send clocks per stripe; pendN counts them so the
@@ -918,7 +901,7 @@ func (ln *lane) prefetchTakes(chunk []item) {
 	n := 0
 	for i := range chunk {
 		e := &chunk[i].ev
-		if e.Kind == model.Receive && ln.pl.smap[e.Partner.Process] != ln.id {
+		if e.Kind == model.Receive && chunk[i].slot < 0 {
 			s := stripeIdx(e.Partner)
 			ln.want[s] = append(ln.want[s], e.Partner)
 			n++
@@ -975,9 +958,9 @@ func (ln *lane) flushPuts() {
 	ln.pendN = 0
 }
 
-// process stamps one planned item, mirroring fm.ObserveBorrowed's clock
-// computation and Timestamper.assign's stamping, restricted to this lane's
-// processes.
+// process stamps one planned item: the central Fidge/Mattern computation
+// of Section 2.2 followed by the cluster-timestamp stamping, restricted to
+// this lane's processes.
 func (ln *lane) process(it *item) {
 	e := it.ev
 	if e.Kind == model.Sync {
@@ -986,7 +969,7 @@ func (ln *lane) process(it *item) {
 	}
 	clk := ln.bump(e)
 	if e.Kind == model.Receive {
-		sclk := ln.takeSend(e.Partner)
+		sclk := ln.takeSend(e.Partner, it.slot)
 		clk.MaxInto(sclk)
 		ln.free = append(ln.free, sclk)
 	}
@@ -995,7 +978,7 @@ func (ln *lane) process(it *item) {
 		// Forward only after publishing the cell and note: a clock visible
 		// to another lane must count only published events (see the file
 		// comment).
-		ln.forwardSend(e, clk)
+		ln.forwardSend(e, clk, it.slot)
 	}
 }
 
@@ -1099,12 +1082,15 @@ func (ln *lane) retain(clk vclock.Clock) vclock.Clock {
 }
 
 // forwardSend parks a private copy of the send's finalized clock where its
-// receive will look: the lane-local map for a same-lane receiver, the
+// receive will look: the planner-assigned slot for a same-lane receiver, the
 // per-stripe put buffer (flushed in batches) for a cross-lane one.
-func (ln *lane) forwardSend(e model.Event, clk vclock.Clock) {
+func (ln *lane) forwardSend(e model.Event, clk vclock.Clock, slot int32) {
 	cp := ln.retain(clk)
-	if ln.pl.smap[e.Partner.Process] == ln.id {
-		ln.localSend[e.ID] = cp
+	if slot >= 0 {
+		if int(slot) >= len(ln.slots) {
+			ln.slots = append(ln.slots, make([]vclock.Clock, int(slot)+1-len(ln.slots))...)
+		}
+		ln.slots[slot] = cp
 		return
 	}
 	s := stripeIdx(e.ID)
@@ -1112,12 +1098,13 @@ func (ln *lane) forwardSend(e model.Event, clk vclock.Clock) {
 	ln.pendN++
 }
 
-// takeSend fetches the matching send's clock — lane-local map, then the
+// takeSend fetches the matching send's clock — the same-lane slot, then the
 // chunk's prefetched claims, then the blocking rendezvous take. The caller
 // owns the result and should recycle it after use.
-func (ln *lane) takeSend(sendID model.EventID) vclock.Clock {
-	if clk, ok := ln.localSend[sendID]; ok {
-		delete(ln.localSend, sendID)
+func (ln *lane) takeSend(sendID model.EventID, slot int32) vclock.Clock {
+	if slot >= 0 {
+		clk := ln.slots[slot]
+		ln.slots[slot] = nil
 		return clk
 	}
 	if clk, ok := ln.prefetched[sendID]; ok {
@@ -1131,8 +1118,7 @@ func (ln *lane) takeSend(sendID model.EventID) vclock.Clock {
 }
 
 // stamp converts a finalized clock into the event's timestamp and publishes
-// it, exactly as Timestamper.assign: note before cell, cell write before
-// watermark store.
+// it: note before cell, cell write before watermark store (see store.go).
 func (ln *lane) stamp(e model.Event, clk vclock.Clock, cl *cluster.Info) {
 	p := e.ID.Process
 	t := Timestamp{ID: e.ID, Kind: e.Kind, Partner: e.Partner}

@@ -1,11 +1,14 @@
 package hct
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/commgraph"
+	"repro/internal/fm"
 	"repro/internal/model"
 	"repro/internal/strategy"
 	"repro/internal/vclock"
@@ -35,6 +38,34 @@ func pipelineConfig(t *testing.T, tr *model.Trace, variant, maxCS int) Config {
 	return cfg
 }
 
+// fmAgreement checks every event's timestamp against the independent
+// Fidge/Mattern reference: a noted cluster receive must carry exactly FM(e),
+// any other event the projection of FM(e) over its cluster epoch's members.
+// It returns a description of the first disagreement, or "".
+func fmAgreement(lookup func(model.EventID) (*Timestamp, bool), clocks map[model.EventID]vclock.Clock) string {
+	for id, want := range clocks {
+		got, ok := lookup(id)
+		if !ok {
+			return fmt.Sprintf("Timestamp(%v) missing", id)
+		}
+		if got.Full != nil {
+			if !got.Full.Equal(want) {
+				return fmt.Sprintf("noted receive %v carries %v, Fidge/Mattern %v", id, got.Full, want)
+			}
+			continue
+		}
+		if len(got.Proj) != len(got.Cluster.Members) {
+			return fmt.Sprintf("%v projects %d elements over %d members", id, len(got.Proj), len(got.Cluster.Members))
+		}
+		for k, q := range got.Cluster.Members {
+			if got.Proj[k] != want[q] {
+				return fmt.Sprintf("%v: Proj[%d] = %d, Fidge/Mattern[%d] = %d", id, k, got.Proj[k], q, want[q])
+			}
+		}
+	}
+	return ""
+}
+
 // sameTimestamp reports whether two timestamps are identical down to the
 // cluster-epoch identity and every vector element.
 func sameTimestamp(a, b *Timestamp) bool {
@@ -51,7 +82,9 @@ func sameTimestamp(a, b *Timestamp) bool {
 // sharded pipeline must produce timestamps identical to single-writer
 // delivery — same cluster epochs, same projections, same retained full
 // vectors — and answer the precedence matrix identically (full matrix on
-// small computations, dense samples on large ones).
+// small computations, dense samples on large ones). The single-writer
+// Timestamper is the pipeline's one-lane shape, so both are also checked
+// against the independent Fidge/Mattern reference (fmAgreement).
 func TestShardedPipelineDifferentialCorpus(t *testing.T) {
 	specs := workload.Corpus()
 	shardCounts := []int{1, 2, 4, 8}
@@ -69,6 +102,14 @@ func TestShardedPipelineDifferentialCorpus(t *testing.T) {
 			t.Parallel()
 			tr := spec.Generate()
 			r := rand.New(rand.NewSource(0x5AD + int64(i)))
+			stamped, err := fm.StampAll(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clocks := make(map[model.EventID]vclock.Clock, len(stamped))
+			for _, st := range stamped {
+				clocks[st.Event.ID] = st.Clock
+			}
 			for _, maxCS := range maxCSs {
 				// Single-writer reference.
 				ref, err := NewTimestamper(tr.NumProcs, pipelineConfig(t, tr, i, maxCS))
@@ -77,6 +118,9 @@ func TestShardedPipelineDifferentialCorpus(t *testing.T) {
 				}
 				if err := ref.ObserveAll(tr); err != nil {
 					t.Fatalf("maxCS=%d: reference: %v", maxCS, err)
+				}
+				if bad := fmAgreement(ref.Timestamp, clocks); bad != "" {
+					t.Fatalf("maxCS=%d: single-writer vs Fidge/Mattern: %s", maxCS, bad)
 				}
 
 				for _, shards := range shardCounts {
@@ -89,6 +133,10 @@ func TestShardedPipelineDifferentialCorpus(t *testing.T) {
 						t.Fatalf("maxCS=%d shards=%d: Dispatch: %v", maxCS, shards, err)
 					}
 					pipe.Barrier()
+					if bad := fmAgreement(pipe.Timestamp, clocks); bad != "" {
+						pipe.Close()
+						t.Fatalf("maxCS=%d shards=%d: pipeline vs Fidge/Mattern: %s", maxCS, shards, bad)
+					}
 
 					if pipe.Events() != ref.Events() || pipe.ClusterReceives() != ref.ClusterReceives() ||
 						pipe.MergedClusterReceives() != ref.MergedClusterReceives() ||
@@ -219,5 +267,38 @@ func TestPipelineErrorContract(t *testing.T) {
 		if err := pipe.DispatchOne(ev(0, 2, model.Unary, -1, 0)); err != ErrPipelineClosed {
 			t.Fatalf("shards=%d: Dispatch after Close = %v", shards, err)
 		}
+	}
+}
+
+// TestRejectedSendStaysUnreceivable pins the clock-layer rejection of a
+// send: a send interleaved inside a synchronous pair consumes its frontier
+// slot but never becomes an in-flight send, so its receive is refused
+// instead of waiting for a clock that is never computed.
+func TestRejectedSendStaysUnreceivable(t *testing.T) {
+	id := func(p, i int) model.EventID {
+		return model.EventID{Process: model.ProcessID(p), Index: model.EventIndex(i)}
+	}
+	for _, shards := range []int{1, 3} {
+		pipe, err := NewPipeline(3, Config{MaxClusterSize: 2}, PipelineOptions{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pipe.DispatchOne(model.Event{ID: id(0, 1), Kind: model.Sync, Partner: id(1, 1)}); err != nil {
+			t.Fatalf("shards=%d: first sync half: %v", shards, err)
+		}
+		if err := pipe.DispatchOne(model.Event{ID: id(2, 1), Kind: model.Send, Partner: id(0, 2)}); !errors.Is(err, fm.ErrSyncInterleaved) {
+			t.Fatalf("shards=%d: interleaved send: err = %v, want ErrSyncInterleaved", shards, err)
+		}
+		if err := pipe.DispatchOne(model.Event{ID: id(1, 1), Kind: model.Sync, Partner: id(0, 1)}); err != nil {
+			t.Fatalf("shards=%d: second sync half: %v", shards, err)
+		}
+		if n := pipe.PendingSends(); n != 0 {
+			t.Fatalf("shards=%d: rejected send left %d sends in flight", shards, n)
+		}
+		if err := pipe.DispatchOne(model.Event{ID: id(0, 2), Kind: model.Receive, Partner: id(2, 1)}); !errors.Is(err, ErrUnknownSend) {
+			t.Fatalf("shards=%d: receive of rejected send: err = %v, want ErrUnknownSend", shards, err)
+		}
+		pipe.Barrier()
+		pipe.Close()
 	}
 }

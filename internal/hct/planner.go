@@ -313,35 +313,15 @@ func (p *Pipeline) planOne(req *planReq) {
 	}
 }
 
-// asyncBarrier is Barrier for the pipelined planner. Fast path: with the
-// queue empty and the planner idle, everything accepted is already planned,
-// so the issued counts are final and the snapshot barrier suffices (the
-// common case on query paths, which barrier per frame). Otherwise a marker
-// rides the queue FIFO behind the outstanding batches; the planner's
-// snapshot then counts exactly the items planned before this call's
-// horizon, and the lanes are waited on to cover it.
+// asyncBarrier is Barrier for the pipelined planner: once the planner has
+// planned everything accepted before the call (drainPlanner), the lanes are
+// waited on to cover the issued counts snapshotted right after it.
 func (p *Pipeline) asyncBarrier() {
-	q := &p.pq
-	q.mu.Lock()
-	busy := q.batches > 0
-	q.mu.Unlock()
-	if !busy {
-		p.snapshotBarrier()
-		return
-	}
-	bw, _ := p.bwPool.Get().(*barrierWait)
+	bw := p.drainPlanner()
 	if bw == nil {
-		bw = &barrierWait{ch: make(chan struct{}, 1)}
-	}
-	if err := p.enqueue(planReq{barrier: bw}); err != nil {
-		// Closed. The planner drains before exiting; wait it out, then the
-		// snapshot is exact.
-		p.bwPool.Put(bw)
-		p.plannerWG.Wait()
 		p.snapshotBarrier()
 		return
 	}
-	<-bw.ch
 	if p.nshards > 1 {
 		p.doneMu.Lock()
 		for !covered(p.done, bw.snap) {
@@ -350,6 +330,49 @@ func (p *Pipeline) asyncBarrier() {
 		p.doneMu.Unlock()
 	}
 	p.bwPool.Put(bw)
+}
+
+// PlanBarrier blocks until every batch accepted before the call has been
+// planned, so the accounting (Result, Events, ...) counts it. Unlike Barrier
+// it does not wait for the lanes to stamp. A no-op with the inline planner,
+// where Dispatch plans before it returns.
+func (p *Pipeline) PlanBarrier() {
+	if !p.async {
+		return
+	}
+	if bw := p.drainPlanner(); bw != nil {
+		p.bwPool.Put(bw)
+	}
+}
+
+// drainPlanner waits until the planner has planned every batch accepted
+// before the call. Fast path: with the queue empty and the planner idle,
+// everything accepted is already planned and it returns nil at once — the
+// common case on query paths, which barrier per frame. Otherwise a marker
+// rides the queue FIFO behind the outstanding batches and is returned with
+// snap holding the issued counts right after them; the caller puts it back
+// into bwPool. It also returns nil once a closed pipeline's planner has
+// drained.
+func (p *Pipeline) drainPlanner() *barrierWait {
+	q := &p.pq
+	q.mu.Lock()
+	busy := q.batches > 0
+	q.mu.Unlock()
+	if !busy {
+		return nil
+	}
+	bw, _ := p.bwPool.Get().(*barrierWait)
+	if bw == nil {
+		bw = &barrierWait{ch: make(chan struct{}, 1)}
+	}
+	if err := p.enqueue(planReq{barrier: bw}); err != nil {
+		// Closed. The planner drains before exiting; wait it out.
+		p.bwPool.Put(bw)
+		p.plannerWG.Wait()
+		return nil
+	}
+	<-bw.ch
+	return bw
 }
 
 // PlannerPipelined reports whether planning runs on a dedicated goroutine.

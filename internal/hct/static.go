@@ -25,45 +25,22 @@ import (
 // shared across calls. StaticResult and the replay Accountant are
 // property-tested to agree exactly over the whole corpus.
 func StaticResult(g *commgraph.Graph, totalEvents int, cfg Config) (Result, error) {
-	if cfg.MaxClusterSize < 1 {
-		return Result{}, fmt.Errorf("%w: MaxClusterSize=%d", ErrBadConfig, cfg.MaxClusterSize)
-	}
 	if cfg.Decider != nil {
 		return Result{}, fmt.Errorf("%w: StaticResult requires a never-merge (nil) decider, got %s", ErrBadConfig, cfg.Decider.Name())
 	}
 	if totalEvents < 0 {
 		return Result{}, fmt.Errorf("%w: totalEvents=%d", ErrBadConfig, totalEvents)
 	}
-	n := g.NumProcs()
-
-	part := cfg.Partition
-	if part == nil {
-		// Singleton clusters: every occurrence crosses the partition. Skip
-		// building the n-cluster partition entirely.
-		return Result{
-			Events:          totalEvents,
-			ClusterReceives: int(g.Total()),
-			LiveClusters:    n,
-			MaxLiveCluster:  1,
-			MaxClusterSize:  cfg.MaxClusterSize,
-		}, nil
+	c, err := newClustering(g.NumProcs(), cfg)
+	if err != nil {
+		return Result{}, err
 	}
-	if part.NumProcs() != n {
-		return Result{}, fmt.Errorf("%w: partition covers %d processes, want %d", ErrBadConfig, part.NumProcs(), n)
-	}
-
 	var cross int64
 	g.ForEachEdge(func(p, q int32, count int64) {
-		if part.ClusterOf(p) != part.ClusterOf(q) {
+		if c.part.ClusterOf(p) != c.part.ClusterOf(q) {
 			cross += count
 		}
 	})
-	return Result{
-		Events:          totalEvents,
-		ClusterReceives: int(cross),
-		Merges:          part.Merges(),
-		LiveClusters:    part.NumLive(),
-		MaxLiveCluster:  part.MaxLiveSize(),
-		MaxClusterSize:  cfg.MaxClusterSize,
-	}, nil
+	c.events, c.crEvents = totalEvents, int(cross)
+	return c.result(), nil
 }

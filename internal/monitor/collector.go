@@ -98,8 +98,8 @@ type Collector struct {
 	spans *obs.SpanScope
 
 	// sentPartner maps each delivered send to the receive it targets, until
-	// that receive is delivered. It mirrors the partial-order store's
-	// in-flight message table and lets the collector reject a receive whose
+	// that receive is delivered. It mirrors the planner's in-flight send
+	// table and lets the collector reject a receive whose
 	// send references a different event before any state is corrupted.
 	sentPartner map[model.EventID]model.EventID
 
@@ -120,7 +120,7 @@ type Collector struct {
 
 // NewCollector wraps a monitor for out-of-order ingestion. The collector
 // resumes from the monitor's current state: its per-process frontiers and
-// in-flight send table are seeded from the partial-order store, so a
+// in-flight send table are seeded from the planner's, so a
 // collector built over a monitor reconstructed from a write-ahead log
 // accepts the stream exactly where the recovered state left off.
 func NewCollector(m *Monitor) *Collector {

@@ -1,8 +1,9 @@
 // Package monitor implements the central monitoring entity of Figure 1 of
 // the paper: it consumes the event records emitted by the instrumented
-// processes of a parallel program, incrementally builds the partial-order
-// data structure, assigns hierarchical cluster timestamps, and answers the
-// precedence queries issued by visualization and control systems.
+// processes of a parallel program, validates them against the delivery
+// order, assigns hierarchical cluster timestamps — which encode the partial
+// order, so no separate event store is kept — and answers the precedence
+// queries issued by visualization and control systems.
 package monitor
 
 import (
@@ -170,6 +171,11 @@ func (m *Monitor) DeliverBatchAsyncTraced(events []model.Event, tr *obs.Trace) e
 // been stamped and published. A no-op on a single-shard monitor.
 func (m *Monitor) IngestBarrier() { m.pipe.Barrier() }
 
+// PlanBarrier blocks until every run accepted before the call has been
+// planned, so Stats and Accounting count it. It does not wait for the
+// stamping lanes, which IngestBarrier also does.
+func (m *Monitor) PlanBarrier() { m.pipe.PlanBarrier() }
+
 // DeliverAll ingests a whole trace.
 func (m *Monitor) DeliverAll(t *model.Trace) error {
 	return m.DeliverBatch(t.Events)
@@ -202,61 +208,47 @@ type Stats struct {
 	PendingSends    int
 }
 
-// Stats returns a snapshot of the monitor's accounting. Every field is O(1)
-// to read from the planner's bookkeeping, so the cost is constant
-// regardless of store size.
+// Stats returns a snapshot of the monitor's accounting, derived from one
+// consistent hct.Result. Every field is O(1) to read from the planner's
+// bookkeeping, so the cost is constant regardless of store size. Like
+// Accounting it reflects planned work; PlanBarrier first for a snapshot
+// that covers every accepted batch.
 func (m *Monitor) Stats(fixedVector int) Stats {
+	r := m.pipe.Result()
 	return Stats{
-		Events:          m.pipe.Events(),
-		ClusterReceives: m.pipe.ClusterReceives(),
-		MergedReceives:  m.pipe.MergedClusterReceives(),
-		LiveClusters:    m.pipe.NumLive(),
-		MaxLiveCluster:  m.pipe.MaxLiveSize(),
-		StorageInts:     m.pipe.StorageInts(fixedVector),
+		Events:          r.Events,
+		ClusterReceives: r.ClusterReceives,
+		MergedReceives:  r.MergedReceives,
+		LiveClusters:    r.LiveClusters,
+		MaxLiveCluster:  r.MaxLiveCluster,
+		StorageInts:     r.StorageInts(fixedVector),
 		PendingSends:    m.pipe.PendingSends(),
 	}
 }
 
-// Accounting is the cheap subset of Stats: every field is O(1) to read (no
-// walk over the stored timestamps), so live gauges can sample it on every
-// scrape without stalling ingestion for long.
+// Accounting is the cheap subset of Stats: the engine's accounting snapshot
+// (hct.Result — event, cluster-receive and merge counts and the live
+// partition's shape), so live gauges can sample it on every scrape without
+// stalling ingestion for long.
 type Accounting struct {
-	Events          int
-	ClusterReceives int
-	MergedReceives  int
-	LiveClusters    int
-	MaxLiveCluster  int
-	Merges          int
-	MaxClusterSize  int
+	hct.Result
 }
 
 // Accounting returns the O(1) accounting snapshot.
 func (m *Monitor) Accounting() Accounting {
-	return Accounting{
-		Events:          m.pipe.Events(),
-		ClusterReceives: m.pipe.ClusterReceives(),
-		MergedReceives:  m.pipe.MergedClusterReceives(),
-		LiveClusters:    m.pipe.NumLive(),
-		MaxLiveCluster:  m.pipe.MaxLiveSize(),
-		Merges:          m.pipe.Merges(),
-		MaxClusterSize:  m.pipe.MaxClusterSize(),
-	}
+	return Accounting{m.pipe.Result()}
 }
 
 // TimestampSizeRatio returns the live value of the paper's Section 4
-// headline metric for this accounting state: the mean timestamp size
-// relative to a fixed Fidge/Mattern vector of fixedVector elements. Noted
-// cluster receives retain a full vector (fixedVector ints); every other
-// event carries a projection of MaxClusterSize ints. A Fidge/Mattern-only
-// tool scores exactly 1.0; below 1.0 the clustering is paying off.
+// headline metric for this accounting state (hct.Result.AverageRatio): the
+// mean timestamp size relative to a fixed Fidge/Mattern vector of
+// fixedVector elements. A Fidge/Mattern-only tool scores exactly 1.0; below
+// 1.0 the clustering is paying off. A non-positive fixedVector reads 0.
 func (a Accounting) TimestampSizeRatio(fixedVector int) float64 {
-	if a.Events == 0 || fixedVector <= 0 {
+	if fixedVector <= 0 {
 		return 0
 	}
-	cr := int64(a.ClusterReceives)
-	rest := int64(a.Events) - cr
-	total := cr*int64(fixedVector) + rest*int64(a.MaxClusterSize)
-	return float64(total) / (float64(a.Events) * float64(fixedVector))
+	return a.AverageRatio(fixedVector)
 }
 
 // ClusterSizes returns the live cluster-size distribution as size -> number

@@ -524,7 +524,13 @@ func (s *Server) handle(cur *Tenant, line string) (resp string, quit bool, next 
 // server-wide. The tenant=<name> field is new in the tenant-aware dialect;
 // metrics.ParseSnapshot skips non-numeric values, so older remote readers
 // parse the body unchanged.
+//
+// An ACK only means a batch was accepted onto the plan queue, and the
+// accounting counts planned events, so it is read after a plan barrier:
+// STATS then counts every batch acknowledged before it on any connection.
+// It does not wait for the stamping lanes.
 func (s *Server) statsBody(t *Tenant) string {
+	t.monitor.PlanBarrier()
 	st := t.monitor.Stats(s.cfg.FixedVector)
 	snap := s.counters.Snapshot()
 	rates := snap.Rates(time.Since(s.start))

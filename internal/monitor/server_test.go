@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -490,4 +491,55 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("condition not reached")
+}
+
+// TestStatsAfterLastAckCoversEveryBatch pins STATS to acknowledged work.
+// With the pipelined planner an ACK means the batch was accepted onto the
+// plan queue, not that it was planned, so STATS must wait for the planner
+// before reading its accounting: asked right after the last ACK, it has to
+// count every acknowledged event.
+func TestStatsAfterLastAckCoversEveryBatch(t *testing.T) {
+	tr := workload.Ring(200, 60, false)
+	cfg := hct.Config{MaxClusterSize: 13, Decider: strategy.NewMergeOnFirst()}
+	m, err := NewWithOptions(tr.NumProcs, cfg, hct.PipelineOptions{Shards: 1, PlanQueue: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(m, ServerConfig{FixedVector: 300, MaxBatch: 4096})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	ref, err := New(tr.NumProcs, hct.Config{MaxClusterSize: 13, Decider: strategy.NewMergeOnFirst()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.DeliverAll(tr); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Stats(300)
+
+	c, err := DialV2(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.ReportBatch(tr.Events); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{
+		fmt.Sprintf("events=%d ", want.Events),
+		fmt.Sprintf("crs=%d ", want.ClusterReceives),
+		fmt.Sprintf("storage=%d ", want.StorageInts),
+	} {
+		if !strings.Contains(stats, field) {
+			t.Fatalf("STATS right after the last ACK lacks %q: %s", field, stats)
+		}
+	}
 }

@@ -73,28 +73,20 @@ const defaultMaxCachedViews = 8
 // Counts is the accounting snapshot frozen into a View at materialization:
 // what Monitor.Stats would have reported after delivering the view's prefix.
 type Counts struct {
-	Events          int
-	ClusterReceives int
-	MergedReceives  int
-	LiveClusters    int
-	MaxLiveCluster  int
-	Merges          int
-	MaxClusterSize  int
-	PendingSends    int
+	hct.Result
+	PendingSends int
 }
 
 // Stats converts the snapshot to the monitor's Stats shape for the given
-// fixed-vector width (see hct.Timestamper.StorageInts for the encoding).
+// fixed-vector width (see hct.Result.StorageInts for the encoding).
 func (c Counts) Stats(fixedVector int) monitor.Stats {
-	cr := int64(c.ClusterReceives)
-	rest := int64(c.Events) - cr
 	return monitor.Stats{
 		Events:          c.Events,
 		ClusterReceives: c.ClusterReceives,
 		MergedReceives:  c.MergedReceives,
 		LiveClusters:    c.LiveClusters,
 		MaxLiveCluster:  c.MaxLiveCluster,
-		StorageInts:     cr*int64(fixedVector) + rest*int64(c.MaxClusterSize),
+		StorageInts:     c.StorageInts(fixedVector),
 		PendingSends:    c.PendingSends,
 	}
 }
@@ -359,36 +351,33 @@ func (s *Store) materializeLocked(cutoff uint64) (*View, error) {
 		}
 		ts, from = fresh, 0
 	}
+	// Whole recorded runs go to the engine at once: the same batched
+	// dispatch a one-shard daemon runs on ingest.
 	fed := from
+	var ingestErr error
 	err := s.chain.ReplayRange(from, cutoff, func(batch []model.Event) error {
-		for _, e := range batch {
-			if err := ts.Ingest(e); err != nil {
-				return err
-			}
-			fed++
+		if ingestErr = ts.IngestBatch(batch); ingestErr != nil {
+			return ingestErr
 		}
+		fed += uint64(len(batch))
 		return nil
 	})
 	if shared {
-		// Even on error the successfully-ingested prefix is valid history;
-		// keep the shared engine consistent with what it absorbed.
 		s.delivered = fed
+		if ingestErr != nil {
+			// The failing run may be partly absorbed, so the shared engine
+			// no longer matches a prefix of the chain: start it over.
+			if fresh, ferr := hct.NewTimestamper(s.chain.NumProcs(), s.opts.NewConfig()); ferr == nil {
+				s.ts, s.delivered = fresh, 0
+			}
+		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("replay: materialize cutoff %d: %w", cutoff, err)
 	}
 	v := &View{
 		cutoff: cutoff,
-		counts: Counts{
-			Events:          ts.Events(),
-			ClusterReceives: ts.ClusterReceives(),
-			MergedReceives:  ts.MergedClusterReceives(),
-			LiveClusters:    ts.Partition().NumLive(),
-			MaxLiveCluster:  ts.Partition().MaxLiveSize(),
-			Merges:          ts.Merges(),
-			MaxClusterSize:  ts.MaxClusterSize(),
-			PendingSends:    ts.PendingSends(),
-		},
+		counts: Counts{Result: ts.Result(), PendingSends: ts.PendingSends()},
 	}
 	v.wm = ts.CaptureWatermark(nil)
 	v.Queries = monitor.NewQueries(&frozenEngine{ts: ts, wm: v.wm})
